@@ -3,7 +3,10 @@
 // public API (include only from src/core/*.cpp and white-box tests).
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "core/variant.hpp"
 #include "core/workspace.hpp"
@@ -130,6 +133,47 @@ inline sched::TileSet makeTileSet(const VariantConfig& cfg,
 inline Box faceSupersetBox(const Box& b) {
   return {b.lo(), b.hi() + IntVect::unit(1)};
 }
+
+// ---------------------------------------------------------------------------
+// Box decomposition shared by the task-parallel level executor and the
+// step-graph executor: which regions of one box become separate tasks.
+// ---------------------------------------------------------------------------
+
+/// Fewest cells a z-slab of a split region may hold: one 32^3 box's
+/// worth, milliseconds of flux divergence on one core, so the pool's
+/// per-task cost (microseconds) stays negligible. Each cut also makes the
+/// two neighbouring slabs both evaluate their shared plane of z-face
+/// fluxes; the cap of two slabs per worker keeps that small (7 extra
+/// planes over a 124-plane interior on four workers). A region splits
+/// only when it holds two slabs, so cubes up to 40^3 stay whole.
+inline constexpr std::int64_t kMinSlabCells = 32768;
+
+/// How one box's work is cut before any z-slab split.
+enum class BoxCut {
+  Whole,      ///< the valid region (reads current ghosts, or none)
+  PeelFringe, ///< interior (reads no ghost) + six halo-fringe slabs
+};
+
+/// One task's region of a box; `tag` is its task-label suffix, with a
+/// leading space (" int z0/8", " x-lo"; "" for the whole box).
+struct BoxPiece {
+  Box region;
+  std::string tag;
+};
+
+/// The pieces of one box of a level of `nBoxes` boxes whose tasks run on
+/// `nThreads` workers. They partition `valid` (every family accumulates
+/// each cell's flux differences in the same per-cell order, so any
+/// partition is bit-identical to the whole box). When the level has fewer
+/// boxes than workers, the whole region (Whole) or the interior
+/// (PeelFringe) is cut into
+///   min(ceil(2 * nThreads / nBoxes), cells / kMinSlabCells, z extent)
+/// z-slabs, so a few large boxes still occupy every worker — two slabs per
+/// worker leave the stealing scheduler room to balance the uneven fringe
+/// and exchange tasks. Pass nThreads = 1 to keep the region unsplit
+/// (one-worker runs, the sequential policy's coarse per-box tasks).
+std::vector<BoxPiece> decomposeBox(const Box& valid, BoxCut cut,
+                                   std::size_t nBoxes, int nThreads);
 
 // ---------------------------------------------------------------------------
 // Per-box entry points implemented in the exec_*.cpp files. All assume:

@@ -235,9 +235,9 @@ void LevelExecutor::buildComputeTasks(GraphBuild& build,
     break;
   case ScheduleFamily::SeriesOfLoops:
   case ScheduleFamily::ShiftFuse:
-    // No independent intra-box units (the fused families sweep whole
-    // planes/wavefronts): hybrid degrades to box-parallel, documented in
-    // exec_level.hpp.
+    // No tile structure to pipeline: hybrid takes the box-parallel
+    // decomposition, whose region pieces (fringe slabs, z-slabs of a
+    // large box) are the intra-box units these families have.
     break;
   }
   buildBoxTasks(build, phi0, phi1, scale, ops);
@@ -247,68 +247,38 @@ void LevelExecutor::buildBoxTasks(GraphBuild& build, const LevelData& phi0,
                                   LevelData& phi1, Real scale,
                                   const OpTasks* ops) {
   constexpr int g = kNumGhost;
+  // run() reads current ghosts, so the box is one region; runStep()
+  // peels the halo fringe so the interior streams while ghosts copy. The
+  // shared decomposition cuts the whole box (or its interior) into
+  // z-slabs when the level has fewer boxes than workers.
+  const detail::BoxCut cut =
+      ops == nullptr ? detail::BoxCut::Whole : detail::BoxCut::PeelFringe;
   for (std::size_t b = 0; b < phi0.size(); ++b) {
-    const Box valid = phi0.validBox(b);
     const FArrayBox* src = &phi0[b];
     FArrayBox* dst = &phi1[b];
-    const int owner = ownerOf(b);
     const std::string boxTag = "box " + std::to_string(b);
-
-    auto addRegionTask = [&](const Box& region, std::string label) {
+    for (const detail::BoxPiece& piece : detail::decomposeBox(
+             phi0.validBox(b), cut, phi0.size(), nThreads_)) {
+      const Box region = piece.region;
       const int task = build.addTask(
           [this, src, dst, region, scale](int worker) {
             detail::runBoxSerialDispatch(cfg_, *src, *dst, region,
                                          pool_[worker], scale);
           },
-          owner, std::move(label));
+          ownerOf(b), boxTag + piece.tag);
       noteSerialRegion(build.note(task), b, region);
-      return task;
-    };
-    // Edges from the exchange ops whose ghost fill intersects the task's
-    // phi0 read footprint (region grown by the stencil radius).
-    auto addGhostDeps = [&](int task, const Box& readFootprint) {
+      if (ops == nullptr) {
+        continue;
+      }
+      // Edges from the exchange ops whose ghost fill intersects the
+      // piece's phi0 read footprint (region grown by the stencil radius);
+      // the interior pieces read no ghost and get none.
+      const Box readFootprint = region.grow(g);
       for (const auto& [opTask, ghostRegion] : ops->byBox[b]) {
         if (!(ghostRegion & readFootprint).empty()) {
           build.addDep(opTask, task);
         }
       }
-    };
-
-    if (ops == nullptr) {
-      addRegionTask(valid, boxTag);
-      continue;
-    }
-    // Exchange/compute overlap: the interior (valid shrunk by the stencil
-    // radius) reads only valid cells of phi0, so it is ready before any
-    // ghost op lands; the halo fringe is peeled into up to six slabs, each
-    // waiting only for the ops that feed its side.
-    const Box interior = valid.grow(-g);
-    if (interior.empty()) {
-      // Box too small to peel: one whole-box task behind all its ops.
-      addGhostDeps(addRegionTask(valid, boxTag), valid.grow(g));
-      continue;
-    }
-    addRegionTask(interior, boxTag + " interior");
-    const Box zmid = valid.grow(2, -g);
-    const Box zymid = zmid.grow(1, -g);
-    struct Slab {
-      Box box;
-      const char* side;
-    };
-    const Slab fringe[6] = {{valid.lowSlab(2, g), "z-lo"},
-                            {valid.highSlab(2, g), "z-hi"},
-                            {zmid.lowSlab(1, g), "y-lo"},
-                            {zmid.highSlab(1, g), "y-hi"},
-                            {zymid.lowSlab(0, g), "x-lo"},
-                            {zymid.highSlab(0, g), "x-hi"}};
-    for (const Slab& slab : fringe) {
-      if (slab.box.empty()) {
-        continue;
-      }
-      addGhostDeps(
-          addRegionTask(slab.box,
-                        boxTag + " fringe " + std::string(slab.side)),
-          slab.box.grow(g));
     }
   }
 }

@@ -9,13 +9,16 @@
 //                  runner's behavior today (delegates to it).
 //   BoxParallel    one task per box running the family's serial schedule;
 //                  the classic Chombo-style box decomposition, minus the
-//                  OpenMP fork/join and static-schedule barriers.
+//                  OpenMP fork/join and static-schedule barriers. When the
+//                  level has fewer boxes than workers, each box is cut into
+//                  z-slab tasks (detail::decomposeBox) so every worker has
+//                  work.
 //   Hybrid         (box x tile) tasks: independent tiles for overlapped
 //                  tiles, wavefront-ordered tile pipelines (per box, with
 //                  front-to-front dependencies over sched/tiles
 //                  TileWavefronts) for the blocked-wavefront family.
-//                  Baseline/shift-fuse have no independent intra-box units,
-//                  so hybrid falls back to box-parallel for them.
+//                  Baseline/shift-fuse have no tile structure to pipeline,
+//                  so hybrid takes the box-parallel region pieces for them.
 //
 // runStep() additionally overlaps the ghost exchange with interior
 // compute: the exchange's CopyOps become ready-at-start tasks and each

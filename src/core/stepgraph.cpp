@@ -206,76 +206,42 @@ struct LowerEnv {
   }
 };
 
-struct NamedRegion {
-  Box region;
-  std::string tag;
-};
-
-/// Task decomposition of one RHS evaluation over one box. Comm-avoiding
-/// runs the whole widened region as one task (the deep exchange already
-/// happened; there is nothing left to overlap). The hybrid policy turns
-/// overlapped tiles into (box x tile) tasks — the sparse cross-stage
-/// tiling: a tile's stage-(i+1) task depends only on the stage-i tasks
-/// whose footprints it reads, not on the whole level. Other policies use
-/// the level executor's interior + six halo-fringe slabs so interior
-/// compute overlaps the exchange (whole-box when the box is too small,
-/// or under the sequential policy where coarse tasks mirror the seed
-/// loop's granularity). The pieces always partition the region, and every
-/// family accumulates each cell's flux differences in the same per-cell
-/// order, so any decomposition is bit-identical.
-std::vector<NamedRegion> rhsRegions(const LowerEnv& env, const Box& valid,
-                                    int w) {
-  std::vector<NamedRegion> out;
+/// Task decomposition of one box for an RHS evaluation (`cut` =
+/// PeelFringe) or a stage combine (`cut` = Whole) over the region widened
+/// by `w`. Comm-avoiding runs the whole widened region as one task (the
+/// deep exchange already happened; there is nothing left to overlap). The
+/// hybrid policy turns overlapped tiles into (box x tile) tasks — the
+/// sparse cross-stage tiling: a tile's stage-(i+1) task depends only on
+/// the stage-i tasks whose footprints it reads, not on the whole level.
+/// The sequential policy keeps one coarse task per box, mirroring the
+/// seed loop's granularity. Everything else takes the shared box
+/// decomposition: the RHS as interior + six halo-fringe slabs so interior
+/// compute overlaps the exchange, and the interior (or the whole combine
+/// region) cut into z-slabs when the level has fewer boxes than workers.
+/// The pieces always partition the region, and every family accumulates
+/// each cell's flux differences in the same per-cell order, so any
+/// decomposition is bit-identical.
+std::vector<detail::BoxPiece> boxPieces(const LowerEnv& env,
+                                        const Box& valid, int w,
+                                        std::size_t nBoxes,
+                                        detail::BoxCut cut) {
   if (env.fuse == StepFuse::CommAvoid) {
-    out.push_back({valid.grow(w), w > 0 ? "w" + std::to_string(w) : "all"});
-    return out;
+    return {{valid.grow(w), w > 0 ? " w" + std::to_string(w) : ""}};
   }
   if (env.policy == LevelPolicy::Hybrid &&
       env.cfg.family == ScheduleFamily::OverlappedTiles &&
       env.cfg.tileSize > 0) {
-    const sched::TileSet tiles = detail::makeTileSet(env.cfg, valid);
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
-      out.push_back({tiles.tileBox(t), "tile" + std::to_string(t)});
-    }
-    return out;
-  }
-  const int g = kNumGhost;
-  const Box interior = valid.grow(-g);
-  if (env.policy == LevelPolicy::BoxSequential || interior.empty()) {
-    out.push_back({valid, "all"});
-    return out;
-  }
-  const Box zmid = valid.grow(2, -g);
-  const Box zymid = zmid.grow(1, -g);
-  out.push_back({interior, "int"});
-  out.push_back({valid.lowSlab(2, g), "z-lo"});
-  out.push_back({valid.highSlab(2, g), "z-hi"});
-  out.push_back({zmid.lowSlab(1, g), "y-lo"});
-  out.push_back({zmid.highSlab(1, g), "y-hi"});
-  out.push_back({zymid.lowSlab(0, g), "x-lo"});
-  out.push_back({zymid.highSlab(0, g), "x-hi"});
-  return out;
-}
-
-/// Task decomposition of one stage combine (copy/axpy/scale) over one
-/// box: per-tile under the hybrid policy's sparse tiling, else one task
-/// per box (already a parallel improvement over the eager integrator's
-/// serial whole-level sweeps).
-std::vector<NamedRegion> combineRegions(const LowerEnv& env,
-                                        const Box& valid, int w) {
-  std::vector<NamedRegion> out;
-  if (env.fuse != StepFuse::CommAvoid &&
-      env.policy == LevelPolicy::Hybrid &&
-      env.cfg.family == ScheduleFamily::OverlappedTiles &&
-      env.cfg.tileSize > 0) {
+    std::vector<detail::BoxPiece> out;
     const sched::TileSet tiles = detail::makeTileSet(env.cfg, valid);
     for (std::size_t t = 0; t < tiles.size(); ++t) {
       out.push_back({tiles.tileBox(t), " tile" + std::to_string(t)});
     }
     return out;
   }
-  out.push_back({valid.grow(w), w > 0 ? " w" + std::to_string(w) : ""});
-  return out;
+  if (env.policy == LevelPolicy::BoxSequential) {
+    return detail::decomposeBox(valid, detail::BoxCut::Whole, nBoxes, 1);
+  }
+  return detail::decomposeBox(valid, cut, nBoxes, env.nThreads);
 }
 
 void lowerExchange(Lowering& low, LowerEnv& env, const StepOp& op) {
@@ -412,8 +378,9 @@ void lowerRhsEval(Lowering& low, LowerEnv& env, const StepOp& op, int w) {
     WorkspacePool* ws = &env.ws;
     const Real scale = -env.rhs.invDx;
     const Real diss = env.rhs.dissipation;
-    for (const NamedRegion& nr : rhsRegions(env, valid, w)) {
-      const Box region = nr.region;
+    for (const detail::BoxPiece& piece :
+         boxPieces(env, valid, w, dst.size(), detail::BoxCut::PeelFringe)) {
+      const Box region = piece.region;
       const int t = low.addTask(
           [cfg, ws, tab, srcSlot, dstSlot, b, region, nc, scale,
            diss](int worker) {
@@ -432,7 +399,7 @@ void lowerRhsEval(Lowering& low, LowerEnv& env, const StepOp& op, int w) {
           env.ownerOf(b),
           "rhs " + env.prog.slotName(op.src) + "->" +
               env.prog.slotName(op.dst) + " box" + std::to_string(b) +
-              " " + nr.tag + env.stepTag(op));
+              piece.tag + env.stepTag(op));
       for (int d = 0; d < grid::SpaceDim; ++d) {
         low.access(t, op.src, b,
                    kernels::readRegion(kernels::Stage::FusedCell, d,
@@ -452,8 +419,9 @@ void lowerCombine(Lowering& low, LowerEnv& env, const StepOp& op, int w) {
   const auto dstSlot = static_cast<std::size_t>(op.dst);
   for (std::size_t b = 0; b < dst.size(); ++b) {
     const Box valid = dst.validBox(b);
-    for (const NamedRegion& nr : combineRegions(env, valid, w)) {
-      const Box region = nr.region;
+    for (const detail::BoxPiece& piece :
+         boxPieces(env, valid, w, dst.size(), detail::BoxCut::Whole)) {
+      const Box region = piece.region;
       TaskGraph::Fn fn;
       std::string label;
       switch (op.kind) {
@@ -490,7 +458,8 @@ void lowerCombine(Lowering& low, LowerEnv& env, const StepOp& op, int w) {
       }
       const int t =
           low.addTask(std::move(fn), env.ownerOf(b),
-                      label + " box" + std::to_string(b) + nr.tag +
+                      label + " box" + std::to_string(b) +
+                          piece.tag +
                           env.stepTag(op));
       if (op.kind != StepOpKind::ScaleSlot) {
         low.access(t, op.src, b, region, nc, false);

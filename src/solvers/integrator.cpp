@@ -164,14 +164,8 @@ int stageCount(Scheme scheme) {
 } // namespace
 
 TimeIntegrator::TimeIntegrator(Scheme scheme,
-                               const DisjointBoxLayout& layout)
-    : scheme_(scheme) {
-  const int n = stageCount(scheme);
-  stages_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    stages_.emplace_back(layout, kernels::kNumComp, kernels::kNumGhost);
-  }
-}
+                               const DisjointBoxLayout& /*layout*/)
+    : scheme_(scheme) {}
 
 TimeIntegrator::~TimeIntegrator() = default;
 
@@ -272,6 +266,16 @@ void TimeIntegrator::advanceGraph(LevelData& u, Real dt, FluxDivRhs& rhs,
 }
 
 void TimeIntegrator::advanceEager(LevelData& u, Real dt, FluxDivRhs& rhs) {
+  // Stage storage only the eager loop uses: allocated on its first call,
+  // so integrators that run the step graphs never hold it.
+  if (stages_.empty()) {
+    const int n = stageCount(scheme_);
+    stages_.reserve(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      stages_.emplace_back(u.layout(), kernels::kNumComp,
+                           kernels::kNumGhost);
+    }
+  }
   switch (scheme_) {
   case Scheme::ForwardEuler: {
     LevelData& k1 = stages_[0];

@@ -100,11 +100,15 @@ void addScaled(grid::LevelData& dst, const grid::LevelData& src,
 /// dst *= scale over valid regions.
 void scaleValid(grid::LevelData& dst, grid::Real scale);
 
-/// Explicit RK integrator with preallocated stage storage.
+/// Explicit RK integrator. The eager path's stage storage is allocated on
+/// its first step; the graph paths' stage storage belongs to the
+/// step-graph executor.
 class TimeIntegrator {
 public:
-  /// Stage storage is allocated on `layout` with the exemplar's component
-  /// and ghost counts.
+  /// `layout` is the layout of the levels the integrator will advance.
+  /// Nothing is allocated here: the eager stage storage is allocated on
+  /// the first advanceEager() from the solution's layout, with the
+  /// exemplar's component and ghost counts.
   TimeIntegrator(Scheme scheme, const grid::DisjointBoxLayout& layout);
   ~TimeIntegrator();
 
@@ -157,7 +161,7 @@ private:
                     int nSteps, core::StepFuse fuse);
 
   Scheme scheme_;
-  std::vector<grid::LevelData> stages_; ///< k_i and the staging state
+  std::vector<grid::LevelData> stages_; ///< eager k_i and staging state
   std::optional<core::StepFuse> fuseOverride_;
   std::optional<core::LevelPolicy> policyOverride_;
   core::ReplayMode replay_{};

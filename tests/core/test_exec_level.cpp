@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/graphcheck.hpp"
 #include "core/runner.hpp"
 #include "core/taskpool.hpp"
 #include "core/variant.hpp"
@@ -153,6 +154,66 @@ TEST(LevelExecutor, RunStepOverlapEqualsExchangeThenRun) {
             << cfg.name() << " ghosts of box " << b;
       }
     }
+  }
+}
+
+TEST(LevelExecutor, SplitBoxRunAndRunStepBitIdentical) {
+  // One 48^3 box on 3 and 4 workers: fewer boxes than workers, so run()
+  // cuts the box and runStep() its interior into z-slab tasks. Both must
+  // reproduce the sequential whole-box evaluation exactly.
+  const ProblemDomain dom(Box::cube(48));
+  const DisjointBoxLayout dbl(dom, 48);
+  LevelData ref0(dbl, kernels::kNumComp, kernels::kNumGhost);
+  kernels::initializeExemplar(ref0);
+  for (const VariantConfig& cfg : representativeFamilies()) {
+    const LevelData expected = evalPolicy(
+        cfg, ref0, LevelPolicy::BoxSequential, 1, Pitch::Padded);
+    for (const int nThreads : {3, 4}) {
+      for (const LevelPolicy policy :
+           {LevelPolicy::BoxParallel, LevelPolicy::Hybrid}) {
+        const std::string what = cfg.name() + " / " +
+                                 levelPolicyName(policy) +
+                                 " / threads=" + std::to_string(nThreads);
+        const LevelData viaRun =
+            evalPolicy(cfg, ref0, policy, nThreads, Pitch::Padded);
+        EXPECT_EQ(LevelData::maxAbsDiffValid(expected, viaRun), 0.0)
+            << what << " run";
+
+        LevelData phi0(dbl, kernels::kNumComp, kernels::kNumGhost);
+        kernels::initializeExemplar(phi0);
+        for (int c = 0; c < kernels::kNumComp; ++c) {
+          // Stale ghosts: a slab that skipped its exchange edge would
+          // read these.
+          grid::FArrayBox& fab = phi0[0];
+          Real* p = fab.dataPtr(c);
+          grid::forEachCell(fab.box(), [&](int i, int j, int k) {
+            if (!phi0.validBox(0).contains(grid::IntVect(i, j, k))) {
+              p[fab.offset(i, j, k)] = -1.0e30;
+            }
+          });
+        }
+        LevelData viaRunStep(dbl, kernels::kNumComp, 0);
+        LevelExecutor exec(cfg, nThreads,
+                           LevelExecOptions{policy, /*overlapExchange=*/true});
+        exec.runStep(phi0, viaRunStep);
+        EXPECT_EQ(LevelData::maxAbsDiffValid(expected, viaRunStep), 0.0)
+            << what << " runStep";
+      }
+    }
+  }
+  // The box-parallel graphs really are split: 110,592 cells hold three
+  // minimum-grain slabs (run), the 44^3 interior two (runStep, plus six
+  // fringe slabs and the exchange ops).
+  const VariantConfig cfg = makeShiftFuse(ParallelGranularity::WithinBox);
+  LevelData phi1(dbl, kernels::kNumComp, 0);
+  LevelExecutor exec(cfg, 4, LevelExecOptions{LevelPolicy::BoxParallel});
+  for (const bool withExchange : {false, true}) {
+    const analysis::TaskGraphModel m =
+        exec.lowerGraph(ref0, phi1, withExchange);
+    EXPECT_EQ(m.tasks.size(),
+              withExchange ? ref0.copier().ops().size() + 2 + 6 : 3U)
+        << m.name;
+    EXPECT_TRUE(analysis::checkTaskGraph(m).ok()) << m.name;
   }
 }
 

@@ -198,6 +198,180 @@ TEST(StepGraph, WallBoundedBitIdentical) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Split boxes: on a level with fewer boxes than workers, each box's RHS
+// interior and stage combines are cut into z-slab tasks (the shared
+// decomposition in core/exec_common.hpp). The slabs partition the box, so
+// every fuse mode x policy stays bit-identical to eager.
+// ---------------------------------------------------------------------------
+
+/// A box side whose RHS interior (44^3) still holds two minimum-grain
+/// slabs, so it splits at 3 and 4 workers.
+constexpr int kSplitSide = 48;
+
+/// `nBoxes` cubes of side `side` in a row along x.
+DisjointBoxLayout rowLayout(int nBoxes, int side = kSplitSide,
+                            bool periodicX = true) {
+  const Box domain(grid::IntVect::zero(),
+                   grid::IntVect(nBoxes * side - 1, side - 1, side - 1));
+  return DisjointBoxLayout(
+      ProblemDomain(domain, std::array<bool, 3>{periodicX, true, true}),
+      side);
+}
+
+/// The production within-box variant (the service's default config).
+core::VariantConfig productionConfig() {
+  return core::makeShiftFuse(core::ParallelGranularity::WithinBox);
+}
+
+/// Every graph mode x `policies` x threads {3, 4} over `dbl` reproduces
+/// one eager step of `scheme` exactly.
+void expectSplitBitIdentical(const DisjointBoxLayout& dbl, Scheme scheme,
+                             std::initializer_list<LevelPolicy> policies,
+                             const grid::BoundaryFiller* walls,
+                             const std::string& what) {
+  const Real dt = 0.004;
+  const auto cfg = productionConfig();
+  // The exemplar initializer dominates a step at this size: run it once.
+  const LevelData init = initialState(dbl);
+  const auto fresh = [&] {
+    LevelData u(dbl, kNumComp, kNumGhost);
+    init.copyTo(u);
+    u.exchange();
+    return u;
+  };
+  LevelData ref = fresh();
+  {
+    FluxDivRhs rhs(cfg, 1, 1.0, walls);
+    TimeIntegrator integ(scheme, dbl);
+    integ.advanceEager(ref, dt, rhs);
+  }
+  for (const int threads : {3, 4}) {
+    for (const StepFuse fuse : kGraphModes) {
+      for (const LevelPolicy policy : policies) {
+        LevelData u = fresh();
+        FluxDivRhs rhs(cfg, threads, 1.0, walls);
+        TimeIntegrator integ(scheme, dbl);
+        integ.setStepFuse(fuse);
+        integ.setLevelPolicy(policy);
+        integ.advance(u, dt, rhs);
+        EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
+            << caseName(scheme, fuse, policy, threads) << " " << what;
+      }
+    }
+  }
+}
+
+TEST(StepGraph, SplitSingleBoxBitIdenticalAcrossSchemesFuseModesAndPolicies) {
+  for (const Scheme scheme : kSchemes) {
+    expectSplitBitIdentical(rowLayout(1), scheme,
+                            {LevelPolicy::BoxSequential,
+                             LevelPolicy::BoxParallel, LevelPolicy::Hybrid},
+                            nullptr, "one split box");
+  }
+}
+
+TEST(StepGraph, SplitTwoBoxesBitIdenticalAcrossSchemesFuseModesAndPolicies) {
+  for (const Scheme scheme : kSchemes) {
+    expectSplitBitIdentical(rowLayout(2), scheme,
+                            {LevelPolicy::BoxSequential,
+                             LevelPolicy::BoxParallel, LevelPolicy::Hybrid},
+                            nullptr, "two split boxes");
+  }
+}
+
+TEST(StepGraph, SplitBoxesWallBoundedBitIdentical) {
+  grid::BoundarySpec spec;
+  spec.type[0] = {grid::BCType::ReflectiveWall, grid::BCType::ReflectiveWall};
+  for (const int nBoxes : {1, 2}) {
+    const DisjointBoxLayout dbl =
+        rowLayout(nBoxes, kSplitSide, /*periodicX=*/false);
+    const grid::BoundaryFiller walls(dbl, spec);
+    for (const Scheme scheme : {Scheme::Midpoint, Scheme::RK4}) {
+      expectSplitBitIdentical(
+          dbl, scheme, {LevelPolicy::BoxParallel, LevelPolicy::Hybrid},
+          &walls, std::to_string(nBoxes) + " wall-bounded split box(es)");
+    }
+  }
+}
+
+TEST(StepGraph, SplitGraphsOfOtherFamiliesBitIdentical) {
+  // The within-box schedule runs once per slab: every family must
+  // reproduce the whole-box arithmetic on each.
+  const DisjointBoxLayout dbl = rowLayout(1);
+  const Real dt = 0.004;
+  for (const core::VariantConfig& cfg :
+       {core::makeBaseline(core::ParallelGranularity::WithinBox),
+        core::makeBlockedWF(8, core::ParallelGranularity::WithinBox,
+                            core::ComponentLoop::Inside),
+        core::makeOverlapped(core::IntraTileSchedule::ShiftFuse, 8,
+                             core::ParallelGranularity::WithinBox)}) {
+    LevelData ref = initialState(dbl);
+    {
+      FluxDivRhs rhs(cfg, 1);
+      TimeIntegrator integ(Scheme::RK4, dbl);
+      integ.advanceEager(ref, dt, rhs);
+    }
+    LevelData u = initialState(dbl);
+    FluxDivRhs rhs(cfg, 4);
+    TimeIntegrator integ(Scheme::RK4, dbl);
+    integ.setStepFuse(StepFuse::Staged);
+    integ.setLevelPolicy(LevelPolicy::BoxParallel);
+    integ.advance(u, dt, rhs);
+    EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0) << cfg.name();
+  }
+}
+
+TEST(StepGraph, SplitOnlyWhenFewerBoxesThanWorkersAboveTheGrain) {
+  // Threads never change the task count of an unsplit level, so a
+  // 4-worker capture must match the 1-worker capture exactly unless the
+  // level both has fewer boxes than workers and boxes above the grain.
+  const auto cfg = productionConfig();
+  const core::StepProgram prog = buildStepProgram(Scheme::RK4, 0.01);
+  const auto taskCount = [&](const DisjointBoxLayout& dbl, int threads,
+                             StepFuse fuse) {
+    LevelData u(dbl, kNumComp, kNumGhost); // captured, never run
+    core::StepExecOptions opts;
+    opts.fuse = fuse;
+    core::StepGraphExecutor exec(cfg, threads, opts);
+    (void)exec.lowerModels(prog, u, {});
+    return exec.stats().taskCount;
+  };
+  struct Shape {
+    DisjointBoxLayout dbl;
+    bool splits;
+    const char* what;
+  };
+  const Shape shapes[] = {
+      {DisjointBoxLayout(ProblemDomain(Box::cube(64)), 16), false,
+       "64 boxes of 16^3 (boxes >= workers, below the grain)"},
+      {rowLayout(4), false, "4 boxes of 48^3 (boxes >= workers)"},
+      {rowLayout(2, 24), false, "2 boxes of 24^3 (below the grain)"},
+      {rowLayout(1), true, "1 box of 48^3"},
+  };
+  for (const Shape& shape : shapes) {
+    for (const StepFuse fuse : {StepFuse::Staged, StepFuse::Fused}) {
+      const std::string what =
+          std::string(shape.what) + " / " + core::stepFuseName(fuse);
+      const std::size_t serial = taskCount(shape.dbl, 1, fuse);
+      const std::size_t parallel = taskCount(shape.dbl, 4, fuse);
+      if (shape.splits) {
+        EXPECT_GT(parallel, serial) << what;
+        continue;
+      }
+      EXPECT_EQ(parallel, serial) << what;
+      if (fuse == StepFuse::Staged) {
+        // Staged RK4 unsplit: four exchanges, per box four RHS evaluations
+        // of interior + six fringe slabs, and eleven stage combines.
+        const LevelData u(shape.dbl, kNumComp, kNumGhost);
+        EXPECT_EQ(parallel,
+                  4 * u.copier().ops().size() + u.size() * (4 * 7 + 11))
+            << what;
+      }
+    }
+  }
+}
+
 TEST(StepGraph, MultiStepCaptureMatchesRepeatedAdvance) {
   const auto dbl = smallLayout();
   const Real dt = 0.004;
@@ -308,34 +482,57 @@ TEST(StepGraph, CommAvoidFallsBackWhenHaloExceedsBox) {
 // ---------------------------------------------------------------------------
 
 TEST(StepGraph, LoweredModelsPassGraphcheck) {
-  const auto dbl = smallLayout();
-  const auto cfg = tiledConfig();
-  for (const Scheme scheme : kSchemes) {
-    const core::StepProgram prog = buildStepProgram(scheme, 0.01);
-    for (const StepFuse fuse : kGraphModes) {
-      for (const LevelPolicy policy :
-           {LevelPolicy::BoxParallel, LevelPolicy::Hybrid}) {
-        LevelData u = initialState(dbl);
-        core::StepExecOptions opts;
-        opts.fuse = fuse;
-        opts.policy = policy;
-        core::StepGraphExecutor exec(cfg, 2, opts);
-        const auto models = exec.lowerModels(prog, u, {});
-        if (fuse == StepFuse::Staged) {
-          EXPECT_EQ(models.size(),
-                    static_cast<std::size_t>(schemeRhsEvals(scheme)))
-              << "Staged must dispatch one graph per stage";
-        } else {
-          EXPECT_EQ(models.size(), 1u);
-        }
-        for (const TaskGraphModel& m : models) {
-          const GraphCheckReport rep = analysis::checkTaskGraph(m);
-          EXPECT_TRUE(rep.ok())
-              << m.name << ": "
-              << (rep.diagnostics.empty()
-                      ? std::string("-")
-                      : rep.diagnostics[0].message());
-          EXPECT_GT(rep.edgeCount, 0) << m.name;
+  // 8 boxes at 2 workers (unsplit), and one / two 48^3 boxes at 4
+  // workers, whose RHS interiors and combines are cut into z-slabs.
+  struct Case {
+    DisjointBoxLayout dbl;
+    core::VariantConfig cfg;
+    int threads;
+    bool splits;
+  };
+  const Case cases[] = {
+      {smallLayout(), tiledConfig(), 2, false},
+      {rowLayout(1), productionConfig(), 4, true},
+      {rowLayout(2), productionConfig(), 4, true},
+  };
+  for (const Case& c : cases) {
+    for (const Scheme scheme : kSchemes) {
+      const core::StepProgram prog = buildStepProgram(scheme, 0.01);
+      for (const StepFuse fuse : kGraphModes) {
+        for (const LevelPolicy policy :
+             {LevelPolicy::BoxParallel, LevelPolicy::Hybrid}) {
+          LevelData u = initialState(c.dbl);
+          core::StepExecOptions opts;
+          opts.fuse = fuse;
+          opts.policy = policy;
+          core::StepGraphExecutor exec(c.cfg, c.threads, opts);
+          const auto models = exec.lowerModels(prog, u, {});
+          if (fuse == StepFuse::Staged) {
+            EXPECT_EQ(models.size(),
+                      static_cast<std::size_t>(schemeRhsEvals(scheme)))
+                << "Staged must dispatch one graph per stage";
+          } else {
+            EXPECT_EQ(models.size(), 1u);
+          }
+          bool sawSlab = false;
+          for (const TaskGraphModel& m : models) {
+            const GraphCheckReport rep = analysis::checkTaskGraph(m);
+            EXPECT_TRUE(rep.ok())
+                << m.name << ": "
+                << (rep.diagnostics.empty()
+                        ? std::string("-")
+                        : rep.diagnostics[0].message());
+            EXPECT_GT(rep.edgeCount, 0) << m.name;
+            for (std::size_t t = 0; t < m.tasks.size(); ++t) {
+              sawSlab = sawSlab ||
+                        m.label(static_cast<int>(t)).find(" z0/") !=
+                            std::string::npos;
+            }
+          }
+          // Comm-avoiding keeps its widened whole-box regions.
+          EXPECT_EQ(sawSlab, c.splits && fuse != StepFuse::CommAvoid)
+              << caseName(scheme, fuse, policy, c.threads) << " on "
+              << c.dbl.size() << " box(es)";
         }
       }
     }
